@@ -11,9 +11,9 @@
 # bench (persistent pool vs pool-per-call + disk-cold vs disk-warm
 # CLI), the tracing-overhead bench, the history-recording overhead
 # bench (<= 5% with the run-history store enabled, bit-identical),
-# and the vectorized-vs-reference
-# kernel bench (banded all-pairs DTW >= 5x, mixed-length bucketed
-# >= 3x, all bit-identical), and the shard fan-out bench (all-pairs
+# the kernel bench (shape dispatcher vs scalar oracle loops: banded
+# all-pairs DTW >= 5x, mixed-length bucketed >= 3x, all
+# bit-identical), and the shard fan-out bench (all-pairs
 # DTW through 2 local shard daemons >= 1.6x over 1 on multi-core
 # hosts, bit-identical everywhere), guarded by the BENCH_engine.json /
 # BENCH_subset.json / BENCH_parallel.json / BENCH_obs.json /
@@ -61,9 +61,9 @@ serve-smoke:
 	$(RUN) -m repro.qa.service_check --workers 2
 
 # Shard-smoke: boot 2 local daemons as shard workers, run sharded
-# scoring and subset search (cold, disk-warm, vectorized daemons,
-# kill-one-shard), and diff every artifact bit-for-bit against the
-# serial oracle (same check as `repro qa --shards 2`).
+# scoring and subset search (cold, disk-warm, kill-one-shard), and
+# diff every artifact bit-for-bit against the serial oracle (same
+# check as `repro qa --shards 2`).
 shard-smoke:
 	$(RUN) -m repro.qa.shard_check --shards 2
 

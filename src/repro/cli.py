@@ -9,7 +9,7 @@
     perspector experiment fig1|fig2|fig3|fig4|fig5|fig6|subset|mux|ablations
     perspector lint [--deep] [--format text|json] [paths ...]
     perspector analyze effects <symbol> [--root DIR]
-    perspector qa [--seed N] [--backend NAME] [--serve] [--history]
+    perspector qa [--seed N] [--serve] [--history]
     perspector obs summary TRACE [--top N]
     perspector obs history [--history-dir DIR] [--digest PREFIX]
     perspector obs diff [RUN-A RUN-B] [--history-dir DIR]
@@ -21,11 +21,9 @@ Scoring commands run the simulation stack end-to-end; ``--quick``
 switches to the short-trace preset. ``score``, ``compare``, ``subset``
 and ``experiment`` accept ``--workers N`` (fan scoring across a
 persistent spawn worker pool), ``--no-cache`` (disable the engine's
-kernel cache), ``--cache-dir DIR`` / ``$REPRO_CACHE_DIR`` (persist
+kernel cache) and ``--cache-dir DIR`` / ``$REPRO_CACHE_DIR`` (persist
 measured suites and kernel results on disk, so repeat invocations
-start warm) and ``--backend NAME`` / ``$REPRO_BACKEND`` (the compute
-backend for the DTW / KS hot paths: ``reference`` or ``vectorized``);
-none of the four changes any output bit. ``lint`` runs
+start warm); none of the three changes any output bit. ``lint`` runs
 the project's static-analysis pass (:mod:`repro.qa.lint`); with
 ``--deep`` it adds the whole-program contract rules (cache-purity,
 pool-safety, shm-readonly -- :mod:`repro.qa.flow`) and ``--format
@@ -105,7 +103,6 @@ def _config(args, default_preset=ExperimentConfig.full):
         workers=getattr(args, "workers", 1),
         cache=not getattr(args, "no_cache", False),
         cache_dir=getattr(args, "cache_dir", None),
-        backend=getattr(args, "backend", None),
         shards=getattr(args, "shard_hosts", None),
         history_dir=getattr(args, "history_dir", None),
     )
@@ -233,8 +230,6 @@ def _cmd_qa(args):
             "--workers", str(args.workers)]
     if args.full:
         argv.append("--full")
-    if args.backend:
-        argv.extend(["--backend", args.backend])
     status = determinism_main(argv)
     if args.serve:
         # The service determinism variant: a daemon-served scorecard
@@ -242,21 +237,15 @@ def _cmd_qa(args):
         # hit the shared caches, shutdown must leak nothing.
         from repro.qa.service_check import main as service_main
 
-        serve_argv = []
-        if args.backend:
-            serve_argv = ["--backend", args.backend]
-        status = max(status, service_main(serve_argv))
+        status = max(status, service_main([]))
     if args.shards:
         # The shard determinism variant: N local daemons as shard
-        # workers; sharded scorecards (cold, disk-warm, vectorized
-        # daemons, kill-one-shard) and a sharded subset search must be
+        # workers; sharded scorecards (cold, disk-warm, kill-one-shard)
+        # and a sharded subset search must be
         # bit-identical to the serial oracle.
         from repro.qa.shard_check import main as shard_main
 
-        shard_argv = ["--shards", str(args.shards)]
-        if args.backend:
-            shard_argv.extend(["--backend", args.backend])
-        status = max(status, shard_main(shard_argv))
+        status = max(status, shard_main(["--shards", str(args.shards)]))
     if args.history:
         # The history determinism variant: recording on vs off must be
         # bit-identical, an equal-digest re-run must diff to zero, and
@@ -264,10 +253,7 @@ def _cmd_qa(args):
         # must each be flagged.
         from repro.qa.history_check import main as history_main
 
-        history_argv = []
-        if args.backend:
-            history_argv = ["--backend", args.backend]
-        status = max(status, history_main(history_argv))
+        status = max(status, history_main([]))
     return status
 
 
@@ -348,7 +334,6 @@ def _cmd_shard(args):
             status = 1
         else:
             print(f"{host.address:24s}  OK    "
-                  f"backend={health.get('backend')} "
                   f"workers={health.get('workers')} "
                   f"cache_dir={health.get('cache_dir')} "
                   f"requests={health.get('requests')} "
@@ -531,15 +516,6 @@ def _add_engine_flags(p):
              "(default: $REPRO_CACHE_DIR if set, else memory-only; "
              "results are bit-identical either way)",
     )
-    from repro.stats.backend import available_backends
-
-    p.add_argument(
-        "--backend", choices=available_backends(),
-        default=os.environ.get("REPRO_BACKEND") or None,
-        help="compute backend for the DTW / KS hot paths (default: "
-             "$REPRO_BACKEND if set, else reference; every backend is "
-             "bit-identical to the reference kernels)",
-    )
     p.add_argument(
         "--shard-hosts", metavar="HOST:PORT,...",
         default=os.environ.get("REPRO_SHARDS") or None,
@@ -680,15 +656,6 @@ def build_parser():
         help="also check engine invariance at this worker count "
              "(scorecards must be bit-identical to the serial path)",
     )
-    from repro.stats.backend import available_backends
-
-    p_qa.add_argument(
-        "--backend", choices=available_backends(),
-        default=os.environ.get("REPRO_BACKEND") or None,
-        help="also cross-check this compute backend's scorecards "
-             "bit-for-bit against the reference backend on every "
-             "variant (default: $REPRO_BACKEND if set)",
-    )
     p_qa.add_argument(
         "--serve", action="store_true",
         help="also run the service determinism variant: a scoring "
@@ -700,8 +667,8 @@ def build_parser():
         "--shards", type=int, default=0, metavar="N",
         help="also run the shard determinism variant: spin up N local "
              "scoring daemons as shard workers and diff sharded "
-             "scorecards (cold, disk-warm, vectorized daemons, "
-             "kill-one-shard) bit-for-bit against the serial oracle",
+             "scorecards (cold, disk-warm, kill-one-shard) "
+             "bit-for-bit against the serial oracle",
     )
     p_qa.add_argument(
         "--history", action="store_true",

@@ -19,13 +19,10 @@ capabilities without changing a single output bit:
 
 Determinism-under-caching hinges on one kernel-selection rule: a given
 (series pair, band) always yields the same bits whatever code path
-computes it. The engine dispatches DTW pairs and the per-column KS
-statistics through a :class:`~repro.stats.backend.ComputeBackend`
-(``reference`` | ``vectorized``, resolved by
-:func:`repro.stats.backend.resolve_backend`); every registered backend
-is bit-identical to the reference kernels, so mixing cached and fresh
-pairs is safe and cache keys never mention the backend -- a property
-``repro qa --backend vectorized`` cross-checks end to end.
+computes it. The engine sends DTW pairs and the per-column KS
+statistics through the shape-dispatched kernels of
+:mod:`repro.stats.backend`; every kernel they pick is bit-identical to
+the scalar oracles, so mixing cached and fresh pairs is safe.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from repro.engine.cache import (
 from repro.engine.parallel import ParallelExecutor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
-from repro.stats.backend import get_backend, resolve_backend
+from repro.stats.backend import pair_distances
 from repro.stats.distance import pairwise_distances
 from repro.stats.dtw import validate_series_list
 from repro.stats.kmeans import KMeans
@@ -60,8 +57,7 @@ from repro.stats.kmeans import KMeans
 # -- worker tasks (top-level so they pickle) --------------------------------
 
 
-def _trend_event_task(series_list, n_points, band, normalize, cdf,
-                      backend="reference"):
+def _trend_event_task(series_list, n_points, band, normalize, cdf):
     """Normalize one event's series set (optionally) and compute its
     pairwise DTW matrix. Pure: returns everything it computed."""
     arrays = [np.asarray(s, dtype=float) for s in series_list]
@@ -69,19 +65,19 @@ def _trend_event_task(series_list, n_points, band, normalize, cdf,
         norm = normalize_series_set(arrays, n_points=n_points, cdf=cdf)
     else:
         norm = validate_series_list(arrays)
-    return norm, _dtw_matrix_direct(norm, band, backend=backend)
+    return norm, _dtw_matrix_direct(norm, band)
 
 
-def _dtw_matrix_direct(arrays, band, backend="reference"):
+def _dtw_matrix_direct(arrays, band):
     """The plain (cache-free) pairwise DTW matrix over validated arrays,
-    via the same backend kernels the cached assembly path uses."""
+    via the same kernels the cached assembly path uses."""
     arrays = validate_series_list(arrays)
     n = len(arrays)
     out = np.zeros((n, n))
     if n < 2:
         return out
     idx_i, idx_j = np.triu_indices(n, k=1)
-    totals = get_backend(backend).pair_distances(arrays, idx_i, idx_j, band)
+    totals = pair_distances(arrays, idx_i, idx_j, band)
     out[idx_i, idx_j] = totals
     out[idx_j, idx_i] = totals
     return out
@@ -93,13 +89,12 @@ def _kmeans_task(x, k, seed, n_restarts):
 
 
 def _score_matrix_task(matrix, config, focus_value, normalize, cache,
-                       cache_dir=None, backend="reference"):
+                       cache_dir=None):
     """Score one suite matrix in a worker with a fresh single-process
     engine -- the same code path the serial loop runs. The worker
     shares the owner's disk tier (atomic renames make concurrent
     writers safe), so its kernel results warm later runs too."""
-    engine = Engine(cache=cache, workers=1, cache_dir=cache_dir,
-                    backend=backend)
+    engine = Engine(cache=cache, workers=1, cache_dir=cache_dir)
     return engine.score_matrix(matrix, config, focus_value,
                                normalize=normalize)
 
@@ -134,12 +129,6 @@ class Engine:
     persistent_pool:
         ``False`` restores the pool-per-call lifecycle; exists only for
         the ``BENCH_parallel.json`` comparison arm.
-    backend:
-        Compute-backend name (``"reference"`` | ``"vectorized"``) or a
-        :class:`~repro.stats.backend.ComputeBackend`; ``None`` resolves
-        via ``$REPRO_BACKEND`` then the reference default. Backends are
-        bit-identical, so this is purely a speed knob and cache keys
-        never include it.
     shards:
         Optional shard-worker daemons for the multi-host fan-out
         (DESIGN.md section 14): a ``"host:port,host:port"`` spec (the
@@ -153,10 +142,7 @@ class Engine:
 
     def __init__(self, cache=True, workers=1, max_entries=None,
                  cache_dir=None, disk_max_bytes=None, shm_min_bytes=None,
-                 persistent_pool=True, backend=None, shards=None):
-        #: The active ComputeBackend the DTW / KS hot paths dispatch
-        #: through (bit-identical across backends by contract).
-        self.backend = resolve_backend(backend)
+                 persistent_pool=True, shards=None):
         #: One registry for every counter across the engine's layers --
         #: kernel cache, disk tier, shm transport, worker pool.
         #: ``details['engine']`` is a ``snapshot().delta()`` view over it.
@@ -223,7 +209,6 @@ class Engine:
         return cls(cache=getattr(config, "cache", True),
                    workers=getattr(config, "workers", 1),
                    cache_dir=getattr(config, "cache_dir", None),
-                   backend=getattr(config, "backend", None),
                    shards=getattr(config, "shards", None))
 
     # -- lifecycle ---------------------------------------------------------
@@ -319,14 +304,13 @@ class Engine:
             if self._coordinator is not None and len(missing) > 1:
                 # Sharded fan-out: contiguous pair blocks execute on
                 # the shard daemons. Partitioning is a pure function of
-                # the missing set and every daemon backend is
-                # bit-identical, so the assembled matrix carries the
-                # same bits as the local computation below.
+                # the missing set and the daemons run the same kernels,
+                # so the assembled matrix carries the same bits as the
+                # local computation below.
                 fresh = self._coordinator.dtw_pairs(arrays, idx_i, idx_j,
                                                     band)
             else:
-                fresh = self.backend.pair_distances(arrays, idx_i, idx_j,
-                                                    band)
+                fresh = pair_distances(arrays, idx_i, idx_j, band)
             for p, value in zip(missing, fresh):
                 values[p] = self.cache.put(pkeys[p], float(value),
                                            disk=False)
@@ -345,7 +329,7 @@ class Engine:
         value = self.cache.lookup(pkey, disk=False)
         if value is not MISS:
             return value
-        value = float(self.backend.pair_distances(
+        value = float(pair_distances(
             arrays, np.array([0]), np.array([1]), band,
         )[0])
         self._pair_digests.update(digests)
@@ -427,8 +411,7 @@ class Engine:
         elif pending:
             results = self.executor.map(
                 _trend_event_task,
-                [(tuple(arrays), n_points, band, do_norm, cdf,
-                  self.backend.name)
+                [(tuple(arrays), n_points, band, do_norm, cdf)
                  for (_event, arrays, _nkey, do_norm) in pending],
             )
             for (event, _arrays, nkey, _do_norm), (norm, dmatrix) in zip(
@@ -594,11 +577,8 @@ class Engine:
             cached = self._cached("spread-score", key)
             if cached is not MISS:
                 return cached
-            # The backend is deliberately absent from the key: backends
-            # are bit-identical, so the entry is shared across them.
             result = core_spread_score(matrix, normalize=normalize,
-                                       axis=axis, sampled=sampled, rng=rng,
-                                       backend=self.backend)
+                                       axis=axis, sampled=sampled, rng=rng)
             return self.cache.put(key, result)
 
     # -- suite-level scoring -----------------------------------------------
@@ -674,6 +654,6 @@ class Engine:
         return self.executor.map(
             _score_matrix_task,
             [(m, config, focus_value, normalize, self.cache.enabled,
-              self.cache_dir, self.backend.name)
+              self.cache_dir)
              for m in matrices],
         )

@@ -18,10 +18,10 @@ already-running ``repro serve`` daemons as shard workers:
   content keys, so work any shard has done once is a disk hit for all.
 
 Bit-identity argument: block partitioning is a pure function of the
-input (never of shard count, shard health or timing), every shard
-backend is bit-identical by the registry contract (DESIGN.md §13), the
-per-block kernels are the exact functions the serial path runs
-(``backend.pair_distances``, :class:`SubsetEvaluator`), and reassembly
+input (never of shard count, shard health or timing), the per-block
+kernels are the exact functions the serial path runs
+(:func:`repro.stats.backend.pair_distances`, :class:`SubsetEvaluator`;
+DESIGN.md §13), and reassembly
 is by input index. Shard assignment and failure-driven re-dispatch
 therefore only decide *where* a block runs, never what it returns --
 ``repro qa --shards N`` enforces this against the serial oracle,
@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.obs import trace as obs_trace
 from repro.obs.trace import Tracer, span
+from repro.stats.backend import pair_distances
 
 #: Block operations a shard daemon can execute (POST /v1/shard/exec).
 OPS = ("dtw-pairs", "subset-batch")
@@ -349,7 +350,7 @@ class ShardCoordinator:
     def dtw_pairs(self, arrays, idx_i, idx_j, band):
         """The requested pair distances, computed across the shards.
 
-        Bit-identical to ``backend.pair_distances(arrays, idx_i, idx_j,
+        Bit-identical to ``pair_distances(arrays, idx_i, idx_j,
         band)`` run locally: contiguous pair ranges, per-block series
         remapped to the indices the block references (smaller payloads,
         same floats), values returned as IEEE-754 bit patterns.
@@ -444,7 +445,7 @@ def execute_block(engine, block):
     The daemon-side implementation of ``POST /v1/shard/exec`` (also
     what the loopback test clients call directly). ``engine`` is the
     daemon's long-lived :class:`~repro.engine.engine.Engine`; its
-    backend and caches apply.
+    caches apply.
     """
     if isinstance(block, ShardBlock):
         block = block.as_dict()
@@ -471,8 +472,7 @@ def _exec_dtw_pairs(engine, payload):
     idx_j = np.asarray(payload["pairs_j"], dtype=int)
     if idx_i.shape != idx_j.shape:
         raise ShardError("pairs_i and pairs_j length mismatch")
-    values = engine.backend.pair_distances(arrays, idx_i, idx_j,
-                                           payload.get("band"))
+    values = pair_distances(arrays, idx_i, idx_j, payload.get("band"))
     return {"value_bits": [float_bits(value) for value in values]}
 
 

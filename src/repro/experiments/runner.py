@@ -30,10 +30,10 @@ _CACHE = {}
 class ExperimentConfig:
     """Trace-length and seed settings shared by the experiment drivers.
 
-    ``workers``, ``cache``, ``cache_dir`` and ``backend`` configure the
-    scoring engine (:class:`repro.engine.Engine`): process fan-out
-    width, the content-addressed kernel cache, its optional on-disk
-    tier, and the compute backend. None of them affects any output bit -- they only change how fast the
+    ``workers``, ``cache`` and ``cache_dir`` configure the scoring
+    engine (:class:`repro.engine.Engine`): process fan-out width, the
+    content-addressed kernel cache and its optional on-disk tier. None
+    of them affects any output bit -- they only change how fast the
     drivers regenerate the figures. With ``cache_dir`` set, the
     *measured suites themselves* also persist there (keyed by suite
     name + every measurement field), so a warm CLI invocation skips the
@@ -49,7 +49,6 @@ class ExperimentConfig:
     workers: int = 1
     cache: bool = True
     cache_dir: str | None = None
-    backend: str | None = None
     shards: str | None = None
     #: Where to append longitudinal run-history records
     #: (:mod:`repro.obs.history`); ``None`` disables recording. Like
@@ -59,7 +58,7 @@ class ExperimentConfig:
     def measurement_key(self):
         """The fields that determine measured traces. Scoring knobs
         (``metric_seed``, ``workers``, ``cache``, ``cache_dir``,
-        ``backend``, ``shards``, ``history_dir``) are excluded, so
+        ``shards``, ``history_dir``) are excluded, so
         re-scoring the same traces under different settings reuses the
         measurement cache."""
         return (self.n_intervals, self.ops_per_interval,
@@ -178,7 +177,6 @@ def perspector_for(config, session=None, engine=None):
             workers=config.workers,
             cache=config.cache,
             cache_dir=getattr(config, "cache_dir", None),
-            backend=getattr(config, "backend", None),
             shards=getattr(config, "shards", None),
         ),
         engine=engine,

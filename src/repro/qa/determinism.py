@@ -127,8 +127,7 @@ class DeterminismReport:
 
 
 def check_determinism(suite_or_matrix, seed=0, focus="all",
-                      session_factory=None, workers=1, cache_dir=None,
-                      backend=None):
+                      session_factory=None, workers=1, cache_dir=None):
     """Score the input twice under one seed; diff the results bit-for-bit.
 
     Each run builds a *fresh* Perspector (and, unless ``session_factory``
@@ -150,14 +149,6 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
       on-disk tier, then a disk-warm run (fresh process-level state,
       same directory) that must reproduce the baseline from the
       persisted entries.
-
-    When ``backend`` names a non-reference compute backend, the
-    baseline runs are pinned to the reference backend and every variant
-    (plus an extra serial run) is re-run under the requested backend:
-    vectorized scorecards must reproduce the *reference* bits on every
-    execution shape, and the disk-warm variant doubles as proof that
-    cache keys are backend-free (entries written by one backend serve
-    the other).
 
     Returns
     -------
@@ -183,9 +174,7 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
             if engine is not None:
                 engine.close()
 
-    cross = backend not in (None, "reference")
-    baseline_kwargs = {"backend": "reference"} if cross else {}
-    cards = [run_once(**baseline_kwargs), run_once(**baseline_kwargs)]
+    cards = [run_once(), run_once()]
     mismatches = list(diff_scorecards(cards[0], cards[1]))
     variants = [("cache=off", {"cache": False})]
     if workers > 1:
@@ -197,21 +186,6 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
     if cache_dir is not None:
         variants.append(("disk-cold", {"cache_dir": cache_dir}))
         variants.append(("disk-warm", {"cache_dir": cache_dir}))
-    if cross:
-        # Cross-backend identity: the requested backend must reproduce
-        # the reference baseline's bits on every execution shape. The
-        # disk-warm arm additionally proves cache keys are backend-free:
-        # it serves entries the disk-cold arm wrote under this backend.
-        rebased = [(f"backend={backend}", {"backend": backend})]
-        for label, kwargs in variants:
-            kwargs = dict(kwargs)
-            if "engine_kwargs" in kwargs:
-                kwargs["engine_kwargs"] = dict(kwargs["engine_kwargs"],
-                                               backend=backend)
-            else:
-                kwargs["backend"] = backend
-            rebased.append((f"{backend}:{label}", kwargs))
-        variants = rebased
     for label, config_kwargs in variants:
         card = run_once(**config_kwargs)
         mismatches.extend(
@@ -227,20 +201,16 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
     from repro.obs import trace as obs_trace
 
     traced_kwargs = {"workers": workers} if workers > 1 else {}
-    traced_label = "traced"
-    if cross:
-        traced_kwargs["backend"] = backend
-        traced_label = f"{backend}:traced"
     tracer = obs_trace.install(obs_trace.Tracer())
     try:
         card = run_once(**traced_kwargs)
     finally:
         obs_trace.uninstall()
     mismatches.extend(
-        f"[{traced_label}] {m}" for m in diff_scorecards(cards[0], card)
+        f"[traced] {m}" for m in diff_scorecards(cards[0], card)
     )
     mismatches.extend(
-        f"[{traced_label}] span tree: {problem}"
+        f"[traced] span tree: {problem}"
         for problem in obs_trace.validate_spans(tracer.spans(),
                                                 owner_pid=os.getpid())
     )
@@ -330,7 +300,7 @@ class SearchDeterminismReport:
 
 def check_search_determinism(matrix, subset_size=4, n_candidates=8,
                              method="swap", seed=0, workers=1,
-                             cache_dir=None, backend=None):
+                             cache_dir=None):
     """Run ``SubsetSearch.search`` twice from fresh engines under one
     seed; diff the results bit-for-bit. Like :func:`check_determinism`,
     extra variant runs enforce the engine invariance contract: cache
@@ -338,9 +308,7 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     that many processes of the persistent spawn pool (plus a fanned run
     with shared-memory transport forced for every array); and when
     ``cache_dir`` is given, a disk-cold then a disk-warm run against
-    the on-disk cache tier. A non-reference ``backend`` pins the
-    baseline to the reference backend and re-runs every variant under
-    the requested one, as in :func:`check_determinism`.
+    the on-disk cache tier.
 
     Returns
     -------
@@ -357,9 +325,7 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
         finally:
             engine.close()
 
-    cross = backend not in (None, "reference")
-    baseline_kwargs = {"backend": "reference"} if cross else {}
-    results = [run_once(**baseline_kwargs), run_once(**baseline_kwargs)]
+    results = [run_once(), run_once()]
     mismatches = list(diff_search_results(results[0], results[1]))
     variants = [("cache=off", {"cache": False})]
     if workers > 1:
@@ -369,11 +335,6 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     if cache_dir is not None:
         variants.append(("disk-cold", {"cache_dir": cache_dir}))
         variants.append(("disk-warm", {"cache_dir": cache_dir}))
-    if cross:
-        variants = [(f"backend={backend}", {"backend": backend})] + [
-            (f"{backend}:{label}", dict(kwargs, backend=backend))
-            for label, kwargs in variants
-        ]
     for label, kwargs in variants:
         result = run_once(**kwargs)
         mismatches.extend(
@@ -386,21 +347,16 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     from repro.obs import trace as obs_trace
 
     traced_kwargs = {"workers": workers} if workers > 1 else {}
-    traced_label = "traced"
-    if cross:
-        traced_kwargs["backend"] = backend
-        traced_label = f"{backend}:traced"
     tracer = obs_trace.install(obs_trace.Tracer())
     try:
         result = run_once(**traced_kwargs)
     finally:
         obs_trace.uninstall()
     mismatches.extend(
-        f"[{traced_label}] {m}"
-        for m in diff_search_results(results[0], result)
+        f"[traced] {m}" for m in diff_search_results(results[0], result)
     )
     mismatches.extend(
-        f"[{traced_label}] span tree: {problem}"
+        f"[traced] span tree: {problem}"
         for problem in obs_trace.validate_spans(tracer.spans(),
                                                 owner_pid=os.getpid())
     )
@@ -446,10 +402,6 @@ def main(argv=None):
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="also require a run fanned across N worker "
                              "processes to be bit-identical")
-    parser.add_argument("--backend", default=None,
-                        help="also require this compute backend to "
-                             "reproduce the reference backend's bits on "
-                             "every variant (e.g. vectorized)")
     args = parser.parse_args(argv)
 
     import gc
@@ -462,8 +414,7 @@ def main(argv=None):
         suite, factory = _default_subject(args.seed, quick=not args.full)
         report = check_determinism(suite, seed=args.seed, focus=args.focus,
                                    session_factory=factory,
-                                   workers=args.workers, cache_dir=tmp,
-                                   backend=args.backend)
+                                   workers=args.workers, cache_dir=tmp)
         print(report)
 
         # The sliced subset evaluator and search driver carry the same
@@ -476,7 +427,6 @@ def main(argv=None):
             build_subject(seed=args.seed, n_workloads=10, n_events=3,
                           length=32),
             seed=args.seed, workers=args.workers, cache_dir=tmp,
-            backend=args.backend,
         )
         print(search_report)
 

@@ -25,16 +25,15 @@
     (:mod:`repro.qa.flow.dataflow`) reports every mutation funnel.
 
 ``backend-purity``
-    Every function in :mod:`repro.stats.backend` is (or backs) a
-    dispatch target that pool tasks and the scoring daemon call by
-    name. They must all stay module-top-level (nested functions and
-    methods either fail to pickle under spawn or capture state the
-    registry promises not to carry) and transitively free of
-    ``WRITES_GLOBAL`` / ``RNG_UNSEEDED`` / ``CLOCK`` / ``IO`` -- an
-    effectful backend would make "which backend ran" observable, and
-    the whole registry contract is that it never is.
-    (``READS_GLOBAL`` is permitted: ``resolve_backend`` reads
-    ``$REPRO_BACKEND`` once at engine construction.)
+    The two shape-dispatched entry points of :mod:`repro.stats.backend`
+    (``pair_distances``, ``ks_columns``) are what pool tasks, shard
+    daemons and the engine call for every DTW pair and KS column. Both
+    must exist as module-top-level free functions, and the module may
+    hold no nested function or method (they fail to pickle under spawn
+    or capture state). Both must be transitively free of
+    ``READS_GLOBAL`` / ``WRITES_GLOBAL`` / ``RNG_UNSEEDED`` / ``CLOCK``
+    / ``IO``: the kernel a dispatcher picks may depend on the input
+    shape only, never on state, and must never show in an output bit.
 
 Every finding embeds the justifying call chain (who calls whom down to
 the intrinsic atom) so the report is actionable without re-running the
@@ -48,6 +47,7 @@ from dataclasses import dataclass
 from repro.qa.flow.effects import (
     CLOCK,
     IO,
+    READS_GLOBAL,
     RNG_UNSEEDED,
     WRITES_GLOBAL,
     format_chain,
@@ -61,11 +61,16 @@ FORBIDDEN_CACHED = frozenset({WRITES_GLOBAL, RNG_UNSEEDED, CLOCK, IO})
 #: Effects a pool-submitted task may not carry.
 POOL_FORBIDDEN = frozenset({RNG_UNSEEDED, WRITES_GLOBAL})
 
-#: The compute-backend registry module held to dispatch purity.
+#: The module holding the shape-dispatched DTW / KS entry points.
 BACKEND_MODULE = "repro.stats.backend"
 
-#: Effects a backend dispatch function may not carry.
-BACKEND_FORBIDDEN = frozenset({WRITES_GLOBAL, RNG_UNSEEDED, CLOCK, IO})
+#: The dispatchers held to purity, by fully qualified name.
+BACKEND_DISPATCHERS = (f"{BACKEND_MODULE}.pair_distances",
+                       f"{BACKEND_MODULE}.ks_columns")
+
+#: Effects a dispatcher may not carry.
+BACKEND_FORBIDDEN = frozenset(
+    {READS_GLOBAL, WRITES_GLOBAL, RNG_UNSEEDED, CLOCK, IO})
 
 
 @dataclass(frozen=True)
@@ -95,9 +100,9 @@ DEEP_RULES = (
     ),
     DeepRule(
         "backend-purity",
-        "compute-backend dispatch functions must be module-top-level "
-        "and transitively free of global writes, unseeded RNG, clock "
-        "reads and IO",
+        "the DTW / KS dispatchers must be module-top-level and "
+        "transitively free of global reads and writes, unseeded RNG, "
+        "clock reads and IO",
     ),
 )
 
@@ -189,34 +194,39 @@ def check_shm_readonly(index):
 
 
 def check_backend_purity(index, solver):
-    """Findings for every backend-registry function that is not a
-    clean module-top-level dispatch target."""
+    """Findings for a missing or impure dispatcher and for any nested
+    function or method in the dispatcher module."""
     findings = []
     for summary in index.modules.values():
         if summary.module != BACKEND_MODULE:
             continue
-        for fq, record in sorted(summary.functions.items()):
-            def flag(message):
-                findings.append(Finding(
-                    path=record.path, line=record.line, col=record.col,
-                    rule_id="backend-purity", message=message,
-                ))
 
+        def flag(where, message):
+            findings.append(Finding(
+                path=summary.path, line=where.line if where else 1,
+                col=where.col if where else 1,
+                rule_id="backend-purity", message=message,
+            ))
+
+        for fq, record in sorted(summary.functions.items()):
             if record.nested:
-                flag(f"nested function {fq} in the backend registry: "
-                     f"dispatch targets must be module-top-level so "
-                     f"spawn workers can import them by name")
-                continue
-            if record.cls is not None:
-                flag(f"method {fq} in the backend registry: dispatch "
-                     f"targets must be free functions, not methods "
-                     f"capturing an instance")
+                flag(record, f"nested function {fq} in {BACKEND_MODULE}: "
+                             f"dispatch code must be module-top-level so "
+                             f"spawn workers can import it by name")
+            elif record.cls is not None:
+                flag(record, f"method {fq} in {BACKEND_MODULE}: dispatch "
+                             f"code must be free functions, not methods "
+                             f"capturing an instance")
+        for fq in BACKEND_DISPATCHERS:
+            record = summary.functions.get(fq)
+            if record is None:
+                flag(None, f"dispatcher {fq} is missing: it must be a "
+                           f"module-top-level function")
                 continue
             bad = solver.effects(fq) & BACKEND_FORBIDDEN
             for effect in sorted(bad):
                 chain = format_chain(solver.chain(fq, effect), effect)
-                flag(f"backend dispatch function {fq} carries {effect} "
-                     f"-- {chain}")
+                flag(record, f"dispatcher {fq} carries {effect} -- {chain}")
     return findings
 
 

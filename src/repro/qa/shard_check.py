@@ -2,9 +2,9 @@
 
 The shard fan-out (:mod:`repro.engine.shard`, DESIGN.md §14) claims
 bit-identity at any shard count, under any block assignment, through
-shard failure and re-dispatch, across mixed backends, and with or
-without a shared disk tier. This checker boots N real local daemons
-(in-process :class:`~repro.service.app.ServiceThread` instances on
+shard failure and re-dispatch, and with or without a shared disk
+tier. This checker boots N real local daemons (in-process
+:class:`~repro.service.app.ServiceThread` instances on
 ephemeral ports -- the same daemon ``repro serve`` runs) as shard
 workers, then diffs every sharded artifact bit-for-bit against the
 serial oracle:
@@ -13,9 +13,6 @@ serial oracle:
 * **disk-warm** -- the coordinator and every daemon share one
   ``--cache-dir``; a second sharded run over the now-warm tier must
   serve disk hits and the same bits;
-* **vectorized daemons** -- shard workers on the vectorized backend,
-  coordinator and oracle on reference: mixing backends across the
-  shard boundary must be invisible in the bits;
 * **kill-one-shard** -- one of the N daemons is shut down before the
   run; the coordinator must mark it dead, re-dispatch its blocks to
   the survivors (visible in ``shard_failures`` /
@@ -132,15 +129,9 @@ def _check_search(serial_engine_config, shard_hosts, seed, failures,
 
 
 def check_shards(n_shards=2, suite="nbench", focus="all", cache_dir=None,
-                 quick=True, backend=None):
+                 quick=True):
     """Run the full sharded-vs-serial check; returns a list of failure
-    strings (empty = PASS).
-
-    The serial oracle always runs on the reference backend with no
-    shards. ``backend`` selects the backend the *primary* shard daemons
-    run (default reference); a vectorized-daemon variant runs in
-    addition whenever the primary daemons are not already vectorized.
-    """
+    strings (empty = PASS). The serial oracle runs with no shards."""
     from repro.engine.diskcache import stale_artifacts
     from repro.engine.shm import leaked_segments
     from repro.experiments import runner
@@ -152,24 +143,21 @@ def check_shards(n_shards=2, suite="nbench", focus="all", cache_dir=None,
         raise ValueError(f"need at least one shard, got {n_shards}")
     preset = (ExperimentConfig.quick if quick
               else ExperimentConfig.full)()
-    # The coordinator engine stays on the reference backend throughout;
-    # daemon backends vary per variant. Workers stay at 1 on both arms:
-    # sharding replaces the pool fan-out, and the oracle proves the
-    # serial path.
-    base = replace(preset, workers=1, cache_dir=None)
-    oracle_config = replace(base, backend="reference")
-    daemon_config = replace(base, backend=backend)
+    # Workers stay at 1 on both arms: sharding replaces the pool
+    # fan-out, and the oracle proves the serial path. Daemons and
+    # coordinator share one config.
+    config = replace(preset, workers=1, cache_dir=None)
     failures = []
 
     # Serial oracle, cold measurement memo: the bits every sharded run
     # must reproduce.
     runner.clear_cache()
-    cli_card = _cli_scorecard(suite, focus, oracle_config)
+    cli_card = _cli_scorecard(suite, focus, config)
 
     # -- cold + kill-one-shard (same daemon generation) -------------------
-    threads, spec = _boot_daemons(daemon_config, n_shards)
+    threads, spec = _boot_daemons(config, n_shards)
     try:
-        _diff_run(cli_card, suite, focus, oracle_config, spec,
+        _diff_run(cli_card, suite, focus, config, spec,
                   f"shards={n_shards}:cold", failures)
         if len(threads) > 1:
             # Kill shard 0, keep its address in the host list: the
@@ -177,7 +165,7 @@ def check_shards(n_shards=2, suite="nbench", focus="all", cache_dir=None,
             # blocks to the survivors and still produce the oracle bits.
             _stop_daemons(threads[:1], failures,
                           f"shards={n_shards}:kill-one")
-            values = _diff_run(cli_card, suite, focus, oracle_config,
+            values = _diff_run(cli_card, suite, focus, config,
                                spec, f"shards={n_shards}:kill-one",
                                failures)
             if values.get("shard_failures", 0) < 1:
@@ -194,7 +182,7 @@ def check_shards(n_shards=2, suite="nbench", focus="all", cache_dir=None,
             survivors = threads
         # -- sharded subset search over the surviving daemons -------------
         live_spec = ",".join(f"{t.host}:{t.port}" for t in survivors)
-        _check_search(oracle_config, live_spec, seed=3, failures=failures,
+        _check_search(config, live_spec, seed=3, failures=failures,
                       label=f"shards={len(survivors)}:search")
     finally:
         _stop_daemons(threads[1:] if len(threads) > 1 else threads,
@@ -202,37 +190,24 @@ def check_shards(n_shards=2, suite="nbench", focus="all", cache_dir=None,
 
     # -- disk-warm: daemons and coordinator share one cache dir -----------
     if cache_dir is not None:
-        disk_daemon = replace(daemon_config, cache_dir=cache_dir)
-        disk_oracle = replace(oracle_config, cache_dir=cache_dir)
-        threads, spec = _boot_daemons(disk_daemon, n_shards)
+        disk_config = replace(config, cache_dir=cache_dir)
+        threads, spec = _boot_daemons(disk_config, n_shards)
         try:
-            _diff_run(cli_card, suite, focus, disk_oracle, spec,
+            _diff_run(cli_card, suite, focus, disk_config, spec,
                       f"shards={n_shards}:disk-cold", failures)
             # On a fully warm tier every pair is a disk hit and there is
             # nothing left to dispatch -- the disk IS the fast path.
-            _diff_run(cli_card, suite, focus, disk_oracle, spec,
+            _diff_run(cli_card, suite, focus, disk_config, spec,
                       f"shards={n_shards}:disk-warm", failures,
                       expect_disk_hits=True, expect_dispatch=False)
         finally:
             _stop_daemons(threads, failures,
                           f"shards={n_shards}:disk")
 
-    # -- vectorized daemons vs the reference oracle -----------------------
-    if backend != "vectorized":
-        vec_config = replace(base, backend="vectorized")
-        threads, spec = _boot_daemons(vec_config, n_shards)
-        try:
-            _diff_run(cli_card, suite, focus, oracle_config, spec,
-                      f"shards={n_shards}:vectorized", failures)
-        finally:
-            _stop_daemons(threads, failures,
-                          f"shards={n_shards}:vectorized")
-
     # -- one shard must equal many shards must equal serial ---------------
-    threads, spec = _boot_daemons(daemon_config, 1)
+    threads, spec = _boot_daemons(config, 1)
     try:
-        card_one, _values = _sharded_scorecard(suite, focus,
-                                               oracle_config, spec)
+        card_one, _values = _sharded_scorecard(suite, focus, config, spec)
         failures.extend(f"[shards=1] {m}"
                         for m in diff_scorecards(cli_card, card_one))
     finally:
@@ -260,8 +235,7 @@ def main(argv=None):
         description="Shard smoke: boot N local scoring daemons as shard "
                     "workers, run sharded scoring and subset search, "
                     "diff bit-for-bit against the serial oracle "
-                    "(cold, disk-warm, vectorized daemons, "
-                    "kill-one-shard).",
+                    "(cold, disk-warm, kill-one-shard).",
     )
     parser.add_argument("--shards", type=int, default=2, metavar="N",
                         help="shard daemons to boot (default 2)")
@@ -272,10 +246,6 @@ def main(argv=None):
     parser.add_argument("--full", action="store_true",
                         help="full-length traces (slower; default is "
                              "the quick preset)")
-    parser.add_argument("--backend", default=None,
-                        help="backend for the primary shard daemons "
-                             "(default reference; the serial oracle "
-                             "always runs reference)")
     args = parser.parse_args(argv)
 
     import tempfile
@@ -283,17 +253,14 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="repro-shard-smoke-") as tmp:
         failures = check_shards(
             n_shards=args.shards, suite=args.suite, focus=args.focus,
-            cache_dir=tmp, quick=not args.full, backend=args.backend,
+            cache_dir=tmp, quick=not args.full,
         )
     head = (f"shard determinism check (shards={args.shards}, "
-            f"suite={args.suite!r}, focus={args.focus!r}"
-            + (f", backend={args.backend!r}" if args.backend else "")
-            + "): ")
+            f"suite={args.suite!r}, focus={args.focus!r}): ")
     if not failures:
         print(head + "PASS -- sharded scorecards and subset search "
                      "bit-identical to the serial oracle (cold, "
-                     "disk-warm, vectorized daemons, kill-one-shard, "
-                     "single-shard); failed-shard blocks re-dispatched; "
+                     "disk-warm, kill-one-shard, single-shard); failed-shard blocks re-dispatched; "
                      "shutdown leak-free")
         return 0
     print(head + f"FAIL -- {len(failures)} problem(s)")

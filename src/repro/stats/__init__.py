@@ -15,9 +15,9 @@ implemented from first principles on top of numpy:
   band, including the batched pair kernels.
 * :mod:`repro.stats.kstest` -- one- and two-sample Kolmogorov-Smirnov tests,
   including the column-batched one-sample kernel.
-* :mod:`repro.stats.backend` -- the pluggable compute-backend registry
-  (``reference`` | ``vectorized``) the engine dispatches the DTW / KS hot
-  paths through; every backend is bit-identical to the reference oracle.
+* :mod:`repro.stats.backend` -- the shape-dispatched DTW / KS entry
+  points the engine calls; every kernel they pick is bit-identical to the
+  scalar oracles.
 * :mod:`repro.stats.lhs` -- Latin hypercube sampling (plain and maximin).
 * :mod:`repro.stats.hierarchical` -- agglomerative clustering, used by the
   prior-work baseline.
@@ -63,12 +63,6 @@ from repro.stats.kstest import (
     ks_test_uniform,
     ks_two_sample,
     KSResult,
-)
-from repro.stats.backend import (
-    ComputeBackend,
-    available_backends,
-    get_backend,
-    resolve_backend,
 )
 from repro.stats.lhs import latin_hypercube, maximin_latin_hypercube
 from repro.stats.hierarchical import (
@@ -118,10 +112,6 @@ __all__ = [
     "ks_test_uniform",
     "ks_two_sample",
     "KSResult",
-    "ComputeBackend",
-    "available_backends",
-    "get_backend",
-    "resolve_backend",
     "latin_hypercube",
     "maximin_latin_hypercube",
     "HierarchicalClustering",

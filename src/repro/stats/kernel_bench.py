@@ -1,12 +1,16 @@
-"""Reference-vs-vectorized benchmark for the stats compute kernels.
+"""Scalar-oracle-vs-dispatcher benchmark for the stats compute kernels.
 
-Times the two registered compute backends (:mod:`repro.stats.backend`)
-on the pairwise hot path -- the banded all-pairs DTW sweep and the
-shape-bucketed mixed-length sweep -- plus an informational column-KS
-timing. The committed ``BENCH_kernels.json`` baseline records the
-expected shape; its ``min_speedup_banded`` (5x) and
-``min_speedup_mixed`` (3x) fields are the guards ``--check`` (the
-``make bench-kernels`` target) enforces.
+Times the shape dispatchers (:mod:`repro.stats.backend`) against the
+scalar oracle loops they must reproduce -- one
+:func:`~repro.stats.dtw.dtw_distance` per pair, one
+:func:`~repro.stats.kstest.ks_statistic_uniform` per column -- on the
+pairwise hot path (the banded all-pairs DTW sweep and the
+shape-bucketed mixed-length sweep) plus an informational column-KS
+timing. The committed ``BENCH_kernels.json`` baseline (where
+``reference_s`` is the oracle loop and ``vectorized_s`` the
+dispatcher) records the expected shape; its ``min_speedup_banded``
+(5x) and ``min_speedup_mixed`` (3x) fields are the guards ``--check``
+(the ``make bench-kernels`` target) enforces.
 
 ::
 
@@ -15,8 +19,8 @@ expected shape; its ``min_speedup_banded`` (5x) and
     python -m repro.stats.kernel_bench --check    # exit 1 below baseline
 
 Timings are machine-dependent and only indicative; the speedup *ratio*
-is the contract. Every vectorized result is additionally diffed
-bit-for-bit against the reference backend's -- a kernel that bought its
+is the contract. Every dispatcher result is additionally diffed
+bit-for-bit against the oracle loop's -- a kernel that bought its
 speed with a single flipped bit fails here before it fails anywhere
 subtle.
 """
@@ -30,8 +34,9 @@ import time
 
 import numpy as np
 
-from repro.stats.backend import get_backend
-from repro.stats.kstest import ks_statistic_uniform, ks_statistic_uniform_columns
+from repro.stats.backend import ks_columns, pair_distances
+from repro.stats.dtw import dtw_distance
+from repro.stats.kstest import ks_statistic_uniform
 
 #: Banded all-pairs subject: SPEC'17-sized (43 series), equal length.
 BANDED_SUBJECT = {"n_series": 43, "length": 100, "band": 8}
@@ -79,11 +84,13 @@ def _best_of(repeats, fn):
 
 
 def _time_pairs(arrays, idx_i, idx_j, band, repeats=REPEATS):
-    """Time both backends over one pair sweep; bit-diff the results."""
-    ref_s, ref = _best_of(repeats, lambda: get_backend(
-        "reference").pair_distances(arrays, idx_i, idx_j, band))
-    vec_s, vec = _best_of(repeats, lambda: get_backend(
-        "vectorized").pair_distances(arrays, idx_i, idx_j, band))
+    """Time the per-pair oracle loop vs the dispatcher over one pair
+    sweep; bit-diff the results."""
+    ref_s, ref = _best_of(repeats, lambda: np.array(
+        [dtw_distance(arrays[i], arrays[j], band=band)
+         for i, j in zip(idx_i, idx_j)]))
+    vec_s, vec = _best_of(
+        repeats, lambda: pair_distances(arrays, idx_i, idx_j, band))
     return {
         "n_pairs": int(len(idx_i)),
         "reference_s": round(ref_s, 4),
@@ -96,13 +103,12 @@ def _time_pairs(arrays, idx_i, idx_j, band, repeats=REPEATS):
 
 
 def _time_ks(seed=2, n_samples=4096, n_columns=24, repeats=REPEATS):
-    """Time the per-column loop vs the column-batched KS kernel."""
+    """Time the per-column oracle loop vs the KS dispatcher."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, size=(n_samples, n_columns))
     ref_s, ref = _best_of(repeats, lambda: np.array(
         [ks_statistic_uniform(x[:, c]) for c in range(x.shape[1])]))
-    vec_s, vec = _best_of(
-        repeats, lambda: ks_statistic_uniform_columns(x))
+    vec_s, vec = _best_of(repeats, lambda: ks_columns(x))
     return {
         "n_samples": n_samples,
         "n_columns": n_columns,
@@ -140,26 +146,26 @@ def run_bench(seed=0):
 def render(result):
     banded, mixed, ks = result["banded"], result["mixed"], result["ks"]
     lines = [
-        "stats kernel bench (reference vs vectorized backend):",
+        "stats kernel bench (scalar oracle loop vs shape dispatcher):",
         f"  banded all-pairs DTW ({banded['n_series']} series, "
         f"L={banded['length']}, band={banded['band']}, "
         f"{banded['n_pairs']} pairs):",
-        f"    reference:  {banded['reference_s']:.3f} s",
-        f"    vectorized: {banded['vectorized_s']:.3f} s  "
+        f"    oracle loop: {banded['reference_s']:.3f} s",
+        f"    dispatcher:  {banded['vectorized_s']:.3f} s  "
         f"({banded['speedup']:.1f}x, gate >= "
         f"{result['min_speedup_banded']:.0f}x, "
         f"bit-identical: {banded['identical']})",
         f"  mixed-length bucketed DTW ({mixed['n_series']} series, "
         f"lengths {mixed['lengths']}, {mixed['n_pairs']} pairs):",
-        f"    reference:  {mixed['reference_s']:.3f} s",
-        f"    vectorized: {mixed['vectorized_s']:.3f} s  "
+        f"    oracle loop: {mixed['reference_s']:.3f} s",
+        f"    dispatcher:  {mixed['vectorized_s']:.3f} s  "
         f"({mixed['speedup']:.1f}x, gate >= "
         f"{result['min_speedup_mixed']:.0f}x, "
         f"bit-identical: {mixed['identical']})",
         f"  column KS ({ks['n_samples']} samples x "
         f"{ks['n_columns']} columns, informational):",
-        f"    reference:  {ks['reference_s']:.3f} s",
-        f"    vectorized: {ks['vectorized_s']:.3f} s  "
+        f"    oracle loop: {ks['reference_s']:.3f} s",
+        f"    dispatcher:  {ks['vectorized_s']:.3f} s  "
         f"({ks['speedup']:.1f}x, bit-identical: {ks['identical']})",
     ]
     return "\n".join(lines)
@@ -174,8 +180,8 @@ def check(result, baseline):
     failures = []
     for name in ("banded", "mixed", "ks"):
         if not result[name]["identical"]:
-            failures.append(f"{name}: vectorized results are not "
-                            f"bit-identical to the reference backend")
+            failures.append(f"{name}: dispatcher results are not "
+                            f"bit-identical to the scalar oracle loop")
     if result["banded"]["speedup"] < gate_banded:
         failures.append(
             f"banded: speedup {result['banded']['speedup']:.1f}x below "
@@ -190,8 +196,8 @@ def check(result, baseline):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.stats.kernel_bench",
-        description="Time the vectorized compute backend against the "
-                    "reference kernels; verify bit-identity.",
+        description="Time the DTW / KS shape dispatchers against the "
+                    "scalar oracle loops; verify bit-identity.",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", metavar="PATH", default=DEFAULT_BASELINE,

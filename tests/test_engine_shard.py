@@ -1,8 +1,8 @@
 """Tests for the multi-host shard fan-out: host-spec parsing, block
 partitioning, and the determinism edge cases the DESIGN.md §14 contract
 names -- 1 shard == serial, shards > blocks, mid-run shard death with
-re-dispatch, mixed reference/vectorized backends -- plus a real-HTTP
-round trip through ``ServiceThread`` daemons."""
+re-dispatch, banded blocks that dispatch to different kernels -- plus
+a real-HTTP round trip through ``ServiceThread`` daemons."""
 
 import numpy as np
 import pytest
@@ -86,14 +86,13 @@ class LoopbackClient:
         return execute_block(self.engine, block)
 
 
-def _loopback_coordinator(n_shards, backends=None, fail_after=None):
+def _loopback_coordinator(n_shards, fail_after=None):
     """A coordinator over n in-process fake shards. Returns
     (coordinator, clients); the caller closes the coordinator."""
-    backends = backends or [None] * n_shards
     fail_after = fail_after or {}
     clients = {}
     for index in range(n_shards):
-        engine = Engine(workers=1, backend=backends[index])
+        engine = Engine(workers=1)
         clients[f"shard{index}:{9000 + index}"] = LoopbackClient(
             engine, fail_after=fail_after.get(index))
     coordinator = ShardCoordinator(
@@ -160,15 +159,18 @@ class TestLoopbackDeterminism:
             with pytest.raises(NoShardsAlive, match="2 shard"):
                 engine.dtw_matrix(_series())
 
-    def test_mixed_backends_are_bit_identical(self):
-        series = _series()
-        with Engine(workers=1, backend="reference") as engine:
-            serial = engine.dtw_matrix(series)
-        coordinator, _clients = _loopback_coordinator(
-            2, backends=["reference", "vectorized"])
+    def test_banded_blocks_equal_serial(self):
+        # Serially all 10 pairs run one banded batch; across 5 shards
+        # the blocks are single pairs, which dispatch to the scalar
+        # kernel. The kernel choice must not show in the bits.
+        series = _series(n=5)
+        with Engine(workers=1) as engine:
+            serial = engine.dtw_matrix(series, band=3)
+        coordinator, clients = _loopback_coordinator(5)
         with Engine(workers=1, shards=coordinator) as engine:
-            sharded = engine.dtw_matrix(series)
+            sharded = engine.dtw_matrix(series, band=3)
         assert sharded.tobytes() == serial.tobytes()
+        assert sum(c.calls for c in clients.values()) > 0
 
     def test_sharded_scorecard_matches_serial(self):
         matrix = build_subject(seed=5, n_workloads=10, n_events=3,

@@ -25,7 +25,7 @@ BASE_CONFIG = {
     "workers": 2,
     "cache": True,
     "cache_dir": None,
-    "backend": "vectorized",
+    "shards": "127.0.0.1:9001,127.0.0.1:9002",
 }
 
 
@@ -63,7 +63,7 @@ class TestConfigDigest:
 
     def test_dropping_a_field_changes_digest(self):
         smaller = dict(BASE_CONFIG)
-        del smaller["backend"]
+        del smaller["shards"]
         assert config_digest(smaller) != config_digest(BASE_CONFIG)
 
     def test_non_json_values_fold_via_repr(self):
@@ -82,12 +82,12 @@ class TestConfigDigest:
 
 class TestResolvedEnv:
     def test_snapshot_covers_every_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        monkeypatch.setenv("REPRO_SHARDS", "127.0.0.1:9001")
+        monkeypatch.delenv("REPRO_HISTORY", raising=False)
         env = resolved_env()
         assert set(env) == set(ENV_VARS)
-        assert env["REPRO_BACKEND"] == "vectorized"
-        assert env["REPRO_SHARDS"] is None
+        assert env["REPRO_SHARDS"] == "127.0.0.1:9001"
+        assert env["REPRO_HISTORY"] is None
 
     def test_manifest_records_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/cache-here")
@@ -97,9 +97,9 @@ class TestResolvedEnv:
         assert set(manifest["env"]) == set(ENV_VARS)
 
     def test_env_does_not_perturb_config_digest(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
         digest_unset = build_manifest("score", [], BASE_CONFIG)
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
+        monkeypatch.setenv("REPRO_SHARDS", "127.0.0.1:9001")
         digest_set = build_manifest("score", [], BASE_CONFIG)
         assert digest_unset["config_digest"] == digest_set["config_digest"]
 

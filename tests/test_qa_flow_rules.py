@@ -399,9 +399,15 @@ class TestRealTreeContracts:
 
 
 class TestBackendPurity:
-    """The compute-backend registry module is held to dispatch purity:
-    top-level functions only, no effect that could make "which backend
-    ran" observable."""
+    """The two DTW / KS dispatchers are held to purity: module-top-level
+    free functions whose kernel choice can depend on nothing but the
+    input shape."""
+
+    CLEAN_KS = """
+
+            def ks_columns(x):
+                return [max(col) for col in x]
+        """
 
     def _findings(self, tmp_path, backend_src):
         root = make_pkg(tmp_path, {
@@ -420,14 +426,28 @@ class TestBackendPurity:
                 return time.time()
 
 
-            def vectorized_pair_distances(arrays, idx_i, idx_j, band=None):
+            def pair_distances(arrays, idx_i, idx_j, band=None):
                 return [x * _stamp() for x in arrays]
-        """)
+        """ + self.CLEAN_KS)
         messages = " | ".join(f.message for f in flagged)
-        assert "repro.stats.backend.vectorized_pair_distances" in messages
+        assert "repro.stats.backend.pair_distances" in messages
         assert "CLOCK" in messages
         # The justifying chain walks through the helper to the atom.
         assert "time.time" in messages
+
+    def test_environment_read_in_dispatcher_flagged(self, tmp_path):
+        flagged = self._findings(tmp_path, """\
+            import os
+
+
+            def pair_distances(arrays, idx_i, idx_j, band=None):
+                if os.environ.get("KERNEL") == "scalar":
+                    return [0.0 for _ in idx_i]
+                return [1.0 for _ in idx_i]
+        """ + self.CLEAN_KS)
+        assert len(flagged) == 1
+        assert "READS_GLOBAL" in flagged[0].message
+        assert "repro.stats.backend.pair_distances" in flagged[0].message
 
     def test_nested_and_method_dispatch_flagged(self, tmp_path):
         flagged = self._findings(tmp_path, """\
@@ -440,26 +460,38 @@ class TestBackendPurity:
             class Registry:
                 def pair_distances(self, arrays, idx_i, idx_j, band=None):
                     return [len(a) for a in arrays]
-        """)
+        """ + self.CLEAN_KS)
         messages = " | ".join(f.message for f in flagged)
         assert "nested function" in messages
         assert ("repro.stats.backend.make_pair_distances.pair_distances"
                 in messages)
         assert "method repro.stats.backend.Registry.pair_distances" \
             in messages
+        # Neither stands in for the missing top-level dispatcher.
+        assert ("dispatcher repro.stats.backend.pair_distances is missing"
+                in messages)
+
+    def test_missing_dispatcher_flagged(self, tmp_path):
+        flagged = self._findings(tmp_path, """\
+            def pair_distances(arrays, idx_i, idx_j, band=None):
+                return [float(len(a)) for a in arrays]
+        """)
+        assert [f.message for f in flagged] == [
+            "dispatcher repro.stats.backend.ks_columns is missing: it "
+            "must be a module-top-level function"]
 
     def test_clean_registry_module_passes(self, tmp_path):
         flagged = self._findings(tmp_path, """\
-            import os
+            def _scalar(a, b):
+                return abs(len(a) - len(b))
 
 
-            def reference_pair_distances(arrays, idx_i, idx_j, band=None):
+            def pair_distances(arrays, idx_i, idx_j, band=None):
+                if len(idx_i) < 2:
+                    return [_scalar(arrays[i], arrays[j])
+                            for i, j in zip(idx_i, idx_j)]
                 return [float(len(a)) for a in arrays]
-
-
-            def resolve_backend(name=None):
-                return name or os.environ.get("REPRO_BACKEND", "reference")
-        """)
+        """ + self.CLEAN_KS)
         assert flagged == []
 
     def test_same_code_outside_the_registry_module_is_exempt(

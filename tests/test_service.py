@@ -93,6 +93,21 @@ def service(tmp_path_factory):
     assert stale_artifacts(cache_dir) == []
 
 
+def _post_raw(client, path, payload):
+    """The raw response body of one successful POST."""
+    connection = http.client.HTTPConnection(client.host, client.port,
+                                            timeout=60.0)
+    try:
+        connection.request("POST", path, body=json.dumps(payload),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        body = response.read()
+    finally:
+        connection.close()
+    assert response.status == 200, body
+    return body
+
+
 def _cli_card(config, suite, focus="all"):
     """The one-shot scoring path the daemon must reproduce."""
     from repro.engine import Engine
@@ -187,35 +202,27 @@ class TestEndpoints:
         assert result["n_evaluated"] == 2
         assert len(result["best"]["selected"]) == 4
 
-    def test_health_reports_default_backend(self, service):
-        from repro.stats.backend import resolve_backend
-
-        _config, client = service
-        # The daemon resolved its backend the same way an engine would
-        # (explicit > $REPRO_BACKEND > reference), so the health report
-        # must agree with a fresh resolution in this environment.
-        assert client.health()["backend"] == resolve_backend().name
-
     def test_backend_request_field_is_bit_invisible(self, service):
-        from repro.stats.backend import resolve_backend
-
-        config, client = service
-        served = client.score_card("nbench", backend="vectorized")
-        card = _cli_card(config, "nbench")
-        assert diff_scorecards(card, served) == []
-        assert served.rendered == str(card)
-        # The override is per-request: the daemon's default survives.
-        assert client.health()["backend"] == resolve_backend().name
+        # Clients written for older daemons may still send "backend";
+        # it is ignored like any other unknown key: same response bytes.
+        _config, client = service
+        payload = {"suite": "nbench", "focus": "all"}
+        _post_raw(client, "/v1/score", payload)  # warm the caches
+        plain = _post_raw(client, "/v1/score", payload)
+        stray = _post_raw(client, "/v1/score",
+                          {**payload, "backend": "vectorized"})
+        assert stray == plain
+        assert "backend" not in client.health()
 
     def test_compare_and_subset_accept_backend(self, service):
         _config, client = service
-        ref = client.compare(["nbench", "nbench"])
-        vec = client.compare(["nbench", "nbench"], backend="vectorized")
-        assert [w["rendered"] for w in vec["scorecards"]] == \
-            [w["rendered"] for w in ref["scorecards"]]
-        ref = client.subset("nbench", size=4)
-        vec = client.subset("nbench", size=4, backend="vectorized")
-        assert vec["rendered"] == ref["rendered"]
+        for path, payload in (
+                ("/v1/compare", {"suites": ["nbench", "nbench"]}),
+                ("/v1/subset", {"suite": "nbench", "size": 4})):
+            _post_raw(client, path, payload)  # warm the caches
+            plain = _post_raw(client, path, payload)
+            stray = _post_raw(client, path, {**payload, "backend": "gpu"})
+            assert stray == plain
 
     def test_concurrent_sessions_get_identical_bytes(self, service):
         _config, client = service
@@ -281,13 +288,6 @@ class TestErrors:
         with pytest.raises(ServiceError) as excinfo:
             client.subset("nbench", size=0)
         assert excinfo.value.status == 400
-
-    def test_unknown_backend_is_400(self, service):
-        _config, client = service
-        with pytest.raises(ServiceError) as excinfo:
-            client.score("nbench", backend="gpu")
-        assert excinfo.value.status == 400
-        assert "unknown backend" in excinfo.value.message
 
 
 class TestServiceHistory:

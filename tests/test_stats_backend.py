@@ -1,21 +1,19 @@
 """Tests for repro.stats.backend and the batched compute kernels.
 
-The registry's whole contract is that backends are a speed knob and
-never a numerical one, so almost every test here is a bit-identity
-assertion: batched wavefront vs the sequential reference fill, bucketed
-mixed-length sweeps vs the per-pair loop, column-batched KS vs the
-scalar statistic, and whole engines run under both backends.
+The shape dispatcher's whole contract is that its kernel choice never
+shows in an output bit, so almost every test here is a bit-identity
+assertion against the scalar oracles: batched wavefront vs the
+sequential reference fill, bucketed mixed-length sweeps vs the per-pair
+loop, column-batched KS vs the scalar statistic, and every dispatch
+branch -- directly and through the engine -- vs one ``dtw_distance``
+per pair.
 """
 
 import numpy as np
 import pytest
 
-from repro.stats.backend import (
-    ComputeBackend,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
+from repro.stats import backend
+from repro.stats.backend import ks_columns, pair_distances
 from repro.stats.dtw import (
     _accumulate,
     _accumulate_banded,
@@ -175,47 +173,87 @@ class TestColumnKS:
         assert bits(got) == bits(expected)
 
 
+def oracle_pairs(arrays, idx_i, idx_j, band=None):
+    """One scalar :func:`dtw_distance` per pair -- the oracle every
+    dispatch branch must reproduce bit-for-bit."""
+    return [dtw_distance(arrays[i], arrays[j], band=band)
+            for i, j in zip(idx_i, idx_j)]
+
+
+def oracle_ks(x):
+    """One scalar :func:`ks_statistic_uniform` per column."""
+    return [ks_statistic_uniform(x[:, j]) for j in range(x.shape[1])]
+
+
+#: One input per dispatch branch: (label, lengths, ndim, band, pairs).
+BRANCHES = [
+    ("aligned-unbanded", (12, 12, 12, 12), 1, None, "all"),
+    ("aligned-banded", (12, 12, 12, 12), 1, 3, "all"),
+    ("mixed-unbanded", (12, 12, 16, 12, 16), 1, None, "all"),
+    ("mixed-banded", (12, 12, 16, 12, 16), 1, 0, "all"),
+    ("single-banded", (12, 12, 12), 1, 3, "one"),
+    ("single-mixed", (12, 16), 1, 2, "one"),
+    ("two-d", (10, 10, 14), 2, None, "all"),
+    ("two-d-banded", (10, 10, 14), 2, 2, "all"),
+]
+
+
+def _branch_input(lengths, ndim, pairs, seed=11):
+    rng = np.random.default_rng(seed)
+    shape = (lambda n: (n, 3)) if ndim == 2 else (lambda n: (n,))
+    arrays = [rng.uniform(0.0, 10.0, size=shape(n)) for n in lengths]
+    if pairs == "one":
+        return arrays, np.array([0]), np.array([1])
+    idx_i, idx_j = np.triu_indices(len(arrays), k=1)
+    return arrays, idx_i, idx_j
+
+
 class TestRegistry:
-    def test_two_backends_registered(self):
-        assert available_backends() == ("reference", "vectorized")
-
-    def test_get_backend_passthrough_and_errors(self):
-        backend = get_backend("vectorized")
-        assert isinstance(backend, ComputeBackend)
-        assert get_backend(backend) is backend
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("gpu")
-
-    def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend().name == "reference"
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-        assert resolve_backend().name == "vectorized"
-        # An explicit choice beats the environment.
-        assert resolve_backend("reference").name == "reference"
-
-    def test_resolve_rejects_unknown_env_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "quantum")
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend()
+    """The two dispatchers against the scalar oracles."""
 
     def test_backends_dispatch_identically(self):
+        for label, lengths, ndim, band, pairs in BRANCHES:
+            arrays, idx_i, idx_j = _branch_input(lengths, ndim, pairs)
+            assert bits(pair_distances(arrays, idx_i, idx_j, band)) == \
+                bits(oracle_pairs(arrays, idx_i, idx_j, band)), label
+
+    def test_ks_columns_matches_oracle(self):
         rng = np.random.default_rng(11)
-        arrays = [rng.uniform(0.0, 10.0, size=n)
-                  for n in (12, 12, 16, 12, 16)]
-        idx_i, idx_j = np.triu_indices(len(arrays), k=1)
-        for band in (None, 0, 3):
-            ref = get_backend("reference").pair_distances(
-                arrays, idx_i, idx_j, band)
-            vec = get_backend("vectorized").pair_distances(
-                arrays, idx_i, idx_j, band)
-            assert bits(ref) == bits(vec)
-        x = rng.uniform(size=(40, 5))
-        assert bits(get_backend("reference").ks_columns(x)) == bits(
-            get_backend("vectorized").ks_columns(x))
+        for shape in ((40, 5), (14, 43), (2, 1)):
+            x = rng.uniform(size=shape)
+            assert bits(ks_columns(x)) == bits(oracle_ks(x))
+
+    @pytest.mark.parametrize("label,lengths,ndim,band,pairs", BRANCHES,
+                             ids=[b[0] for b in BRANCHES])
+    def test_dispatch_branch_per_shape(self, monkeypatch, label, lengths,
+                                       ndim, band, pairs):
+        # Which kernel each shape reaches, observed through the module
+        # globals the dispatcher calls (a wrapper installed there must
+        # see every batched call).
+        expected = {
+            "aligned-unbanded": "batched_pair_distances",
+            "aligned-banded": "banded_pair_distances",
+            "mixed-unbanded": "bucketed_pair_distances",
+            "mixed-banded": "bucketed_pair_distances",
+        }.get(label, "dtw_distance")
+        calls = []
+        for name in ("batched_pair_distances", "banded_pair_distances",
+                     "bucketed_pair_distances", "dtw_distance"):
+            kernel = getattr(backend, name)
+
+            def spy(*args, _name=name, _kernel=kernel, **kwargs):
+                calls.append(_name)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(backend, name, spy)
+        arrays, idx_i, idx_j = _branch_input(lengths, ndim, pairs)
+        pair_distances(arrays, idx_i, idx_j, band)
+        assert set(calls) == {expected}
 
 
 class TestEngineCrossBackend:
+    """The engine's DTW and KS paths against the scalar oracles."""
+
     def _series(self, equal=True, seed=12):
         rng = np.random.default_rng(seed)
         lengths = [20] * 6 if equal else [14, 20, 20, 17, 14, 20]
@@ -227,45 +265,49 @@ class TestEngineCrossBackend:
         from repro.engine import Engine
 
         series = self._series(equal=equal)
-        with Engine(backend="reference") as ref_engine, \
-                Engine(backend="vectorized") as vec_engine:
-            ref = ref_engine.dtw_matrix(series, band=band)
-            vec = vec_engine.dtw_matrix(series, band=band)
-        assert ref.tobytes() == vec.tobytes()
+        n = len(series)
+        oracle = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    oracle[i, j] = dtw_distance(series[i], series[j],
+                                                band=band)
+        with Engine() as engine:
+            got = engine.dtw_matrix(series, band=band)
+        assert got.tobytes() == oracle.tobytes()
 
     def test_dtw_pair_bit_identical(self):
         from repro.engine import Engine
 
         a, b = self._series(equal=False)[:2]
-        with Engine(backend="reference") as ref_engine, \
-                Engine(backend="vectorized") as vec_engine:
-            assert bits([ref_engine.dtw_pair(a, b, band=2)]) == bits(
-                [vec_engine.dtw_pair(a, b, band=2)])
+        with Engine() as engine:
+            for band in (None, 2):
+                assert bits([engine.dtw_pair(a, b, band=band)]) == bits(
+                    [dtw_distance(a, b, band=band)])
 
     def test_cache_keys_are_backend_free(self, tmp_path):
-        # A disk tier written by one backend must serve the other: the
-        # vectorized engine's first lookup lands as a disk hit on the
-        # reference engine's entry, and the bits agree.
+        # Pairs the banded batch kernel cached serve the single-pair
+        # path (which would run the scalar kernel) and a disk-warm
+        # engine, all with the oracle's bits.
         from repro.engine import Engine
 
         series = self._series()
         cache_dir = str(tmp_path / "kernels")
-        with Engine(backend="reference", cache_dir=cache_dir) as engine:
-            ref = engine.dtw_matrix(series, band=3)
-        with Engine(backend="vectorized", cache_dir=cache_dir) as engine:
-            vec = engine.dtw_matrix(series, band=3)
+        with Engine(cache_dir=cache_dir) as engine:
+            matrix = engine.dtw_matrix(series, band=3)
+            misses = engine.cache.stats().misses
+            pair = engine.dtw_pair(series[0], series[1], band=3)
+            assert engine.cache.stats().misses == misses
+        with Engine(cache_dir=cache_dir) as engine:
+            warm = engine.dtw_matrix(series, band=3)
             assert engine.cache.disk.hits > 0
-        assert ref.tobytes() == vec.tobytes()
+        oracle = dtw_distance(series[0], series[1], band=3)
+        assert bits([pair, matrix[0, 1], warm[0, 1]]) == bits([oracle] * 3)
+        assert warm.tobytes() == matrix.tobytes()
 
-    def test_engine_resolves_env_backend(self, monkeypatch):
-        from repro.engine import Engine
-
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-        with Engine() as engine:
-            assert engine.backend.name == "vectorized"
-
-    def test_spread_score_backend_knob(self):
+    def test_spread_score_matches_oracle(self):
         from repro.core.matrix import CounterMatrix
+        from repro.core.normalization import normalize_matrix
         from repro.core.spread_score import spread_score
 
         rng = np.random.default_rng(13)
@@ -273,10 +315,11 @@ class TestEngineCrossBackend:
             workloads=tuple(f"w{i}" for i in range(12)),
             events=("e0", "e1", "e2"),
             values=rng.uniform(1.0, 100.0, size=(12, 3)),
-            suite_name="backend-test",
+            suite_name="spread-oracle",
         )
-        ref = spread_score(matrix, backend="reference")
-        vec = spread_score(matrix, backend="vectorized")
-        assert bits([ref.value]) == bits([vec.value])
-        assert bits(list(ref.per_item.values())) == bits(
-            list(vec.per_item.values()))
+        x = normalize_matrix(matrix.values)
+        for axis, columns in (("workloads", x.T), ("events", x)):
+            result = spread_score(matrix, axis=axis)
+            oracle = oracle_ks(columns)
+            assert bits(list(result.per_item.values())) == bits(oracle)
+            assert bits([result.value]) == bits([np.mean(oracle)])
